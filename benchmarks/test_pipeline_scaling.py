@@ -14,17 +14,18 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-import numpy as np
-
-from repro.bgp.records import RecordSet, records_day_classes
-from repro.lifetimes.bgp import build_operational_dataset
+from repro.bgp import SyntheticBgpStream, sanitize
+from repro.lifetimes.bgp import (
+    activity_from_elements,
+    build_bgp_lifetimes,
+    build_operational_dataset,
+)
 from repro.runtime import (
     ArtifactCache,
     MetricsRegistry,
     PipelineStats,
     ledger_disabled,
 )
-from repro.runtime.executor import ProcessPoolBackend
 from repro.simulation import bench, build_datasets
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
@@ -215,8 +216,8 @@ def test_restoration_scaling(record_result, tmp_path):
     record_result("restoration_scaling", "\n".join(lines))
 
 
-#: Stages the columnar activity engine replaces (segmentation and cache
-#: I/O are shared between engines and excluded from the speedup).
+#: Stages the columnar activity engine runs (segmentation and cache
+#: I/O are excluded from the speedup: the oracle does neither).
 _ACTIVITY_STAGES = ("bgp:stream", "bgp:sanitize", "bgp:visibility")
 
 
@@ -224,81 +225,68 @@ def _activity_stage_seconds(stats: PipelineStats) -> float:
     return sum(stats.seconds_of(name) for name in _ACTIVITY_STAGES)
 
 
-def test_bgp_activity_scaling(record_result, tmp_path):
-    """Records vs. columnar vs. object BGP activity: speed, determinism.
+def _oracle_tables(world, start, end):
+    """The per-element oracle: sanitized object stream, day by day.
 
-    One tiny-scale world.  The object-stream baseline runs over a short
-    reference slice (it is the thing being beaten; timing it over the
-    full window would spend the session's perf budget re-measuring
-    known-slow code), the vectorized engines over the slice and the
-    full ~6-month window.  The assertions pin the ISSUE 6 acceptance
-    criteria: per day of window, the records engine's stream+sanitize+
-    visibility stages beat the object baseline >= 3x even on a cold
-    encode and >= 5x once the container is memory-mapped (columnar
-    keeps its >= 3x bound); serial and mmap-fan-out parallel runs are
-    byte-identical, as are mmap and pickled worker payloads; and a warm
-    activity-table cache hit skips the stream stages entirely.
+    Each day's elements are generated lazily inside
+    :func:`activity_from_elements`, so the window's elements never
+    coexist in memory.
+    """
+    stream = SyntheticBgpStream(
+        world.topology, world.collectors, world.announcements_for_day
+    )
+    return activity_from_elements({
+        day: sanitize(stream.elements_for_day(day))
+        for day in range(start, end + 1)
+    })
+
+
+def test_bgp_activity_scaling(record_result, tmp_path):
+    """Columnar BGP activity vs. the object-stream oracle: speed, identity.
+
+    One tiny-scale world, one ~6-month window, both paths over the same
+    days.  The assertions pin the engine's contract: its tables and
+    lifetimes equal the oracle's; its stream+sanitize+visibility stages
+    beat the oracle >= 3x; serial and ``jobs 2`` runs are
+    byte-identical; and a warm activity-table cache hit skips the
+    stream stages entirely.  The oracle is timed directly, so only the
+    engine's own stages land in the session's gated stage histograms.
     """
     world = WorldSimulator(tiny(seed=2021)).run()
     end = world.config.end_day
     start = end - 179
     window = dict(start=start, end=end)
-    full_days = end - start + 1
-    ref_days = 14
-    ref_window = dict(start=end - ref_days + 1, end=end)
+    days = end - start + 1
 
-    # -- reference slice: the object baseline and the columnar engine -
-    object_stats = PipelineStats()
     t0 = perf_counter()
-    object_lives, object_tables = build_operational_dataset(
-        world, engine="object", stats=object_stats, **ref_window,
-    )
-    object_seconds = perf_counter() - t0
+    oracle = _oracle_tables(world, start, end)
+    oracle_seconds = perf_counter() - t0
+    oracle_lives = build_bgp_lifetimes(oracle, end_day=end)
 
-    col_ref_stats = PipelineStats()
-    col_ref_lives, col_ref_tables = build_operational_dataset(
-        world, engine="columnar", stats=col_ref_stats, **ref_window,
-    )
-    assert col_ref_tables == object_tables
-    assert col_ref_lives == object_lives
-    assert list(col_ref_lives) == list(object_lives)
-
-    # -- full window: records cold (encode + persist the container),
-    # then the steady state — zero-copy re-open with mmap fan-out.
-    # (records == object equivalence is pinned per element by the
-    # tier-1 suite; here the serial cold run is the parallel warm
-    # run's oracle.)
-    container = tmp_path / "bench.bgprec"
-    records_stats = PipelineStats()
+    serial_stats = PipelineStats()
     t0 = perf_counter()
-    records_lives, records_tables = build_operational_dataset(
-        world, engine="records", records_path=container,
-        stats=records_stats, **window,
+    serial_lives, serial_tables = build_operational_dataset(
+        world, stats=serial_stats, **window,
     )
-    records_seconds = perf_counter() - t0
+    serial_seconds = perf_counter() - t0
+    assert serial_tables == oracle
+    assert serial_lives == oracle_lives
+    assert list(serial_lives) == list(oracle_lives)
 
+    # determinism: the jobs 2 cold build (which stores the cache entry)
+    # equals the serial build exactly, ordering included
     cache = ArtifactCache(tmp_path / "cache", faults=None)
-    warm_rec_stats = PipelineStats()
+    pool_stats = PipelineStats()
     t0 = perf_counter()
-    warm_rec_lives, warm_rec_tables = build_operational_dataset(
-        world, engine="records", records_path=container, cache=cache,
-        records_fanout="mmap", executor=2,
-        stats=warm_rec_stats, **window,
+    pool_lives, pool_tables = build_operational_dataset(
+        world, cache=cache, executor=2, stats=pool_stats, **window,
     )
-    warm_rec_seconds = perf_counter() - t0
+    pool_seconds = perf_counter() - t0
+    assert pool_tables == serial_tables
+    assert pool_lives == serial_lives
+    assert list(pool_lives) == list(serial_lives)
 
-    # determinism: serial cold build == parallel mmap re-open, exactly
-    assert warm_rec_tables == records_tables
-    assert warm_rec_lives == records_lives
-    assert list(warm_rec_lives) == list(records_lives)
-    spans = {s.name: s for s in records_stats.tracer.spans}
-    assert spans["bgp:stream"].attrs["source"] == "encoded"
-    spans = {s.name: s for s in warm_rec_stats.tracer.spans}
-    assert spans["bgp:stream"].attrs["source"] == "mmap"
-    assert spans["bgp:visibility"].attrs["fanout"] == "mmap"
-
-    # warm activity-table hit (stored by the run above): it must skip
-    # stream/sanitize/visibility entirely, whichever engine built it
+    # warm activity-table hit: it must skip stream/sanitize/visibility
     warm_stats = PipelineStats()
     t0 = perf_counter()
     warm_lives, _ = build_operational_dataset(
@@ -309,75 +297,32 @@ def test_bgp_activity_scaling(record_result, tmp_path):
     assert [s.name for s in warm_stats.stages] == [
         "cache:lookup", "bgp:segment",
     ]
-    assert warm_lives == records_lives
+    assert warm_lives == serial_lives
 
-    # -- mmap vs pickled fan-out payloads, same pool, same chunks -----
-    # (timed directly so the comparison rows stay out of the session's
-    # gated stage histograms)
-    rs = RecordSet.from_file(container)
-    with ProcessPoolBackend(2, faults=None) as pool:
-        t0 = perf_counter()
-        over_mmap = records_day_classes(rs, executor=pool, fanout="mmap")
-        mmap_fanout_seconds = perf_counter() - t0
-        t0 = perf_counter()
-        over_pickle = records_day_classes(rs, executor=pool, fanout="pickle")
-        pickle_fanout_seconds = perf_counter() - t0
-    assert over_mmap.chunks == over_pickle.chunks
-    assert np.array_equal(over_mmap.asns, over_pickle.asns)
-    assert np.array_equal(over_mmap.days, over_pickle.days)
-    assert np.array_equal(over_mmap.classes, over_pickle.classes)
-    assert over_mmap.stats.dropped == over_pickle.stats.dropped
-
-    # -- speedups, per-day normalized against the reference slice -----
-    object_rate = _activity_stage_seconds(object_stats) / ref_days
-    cold_rate = _activity_stage_seconds(records_stats) / full_days
-    warm_rate = _activity_stage_seconds(warm_rec_stats) / full_days
-    columnar_rate = _activity_stage_seconds(col_ref_stats) / ref_days
-    cold_speedup = object_rate / cold_rate
-    warm_speedup = object_rate / warm_rate
-    columnar_speedup = object_rate / columnar_rate
-    assert cold_speedup >= 3, (
-        f"records cold encode only {cold_speedup:.1f}x faster per day "
-        f"than the object stream"
-    )
-    assert warm_speedup >= 5, (
-        f"records warm mmap only {warm_speedup:.1f}x faster per day "
-        f"than the object stream"
-    )
-    assert columnar_speedup >= 3, (
-        f"columnar stream+visibility only {columnar_speedup:.1f}x faster "
-        f"per day than the object stream"
+    speedup = oracle_seconds / _activity_stage_seconds(serial_stats)
+    assert speedup >= 3, (
+        f"columnar stream+sanitize+visibility only {speedup:.1f}x faster "
+        f"than the object-stream oracle over the same {days} days"
     )
 
-    cache_speedup = records_seconds / warm_seconds
     lines = [
-        f"window: {full_days} days (object baseline over the last "
-        f"{ref_days}), {len(records_tables)} active ASNs, "
+        f"window: {days} days, {len(serial_tables)} active ASNs, "
         f"host CPUs: {os.cpu_count()}",
         "",
-        records_stats.compare(
-            object_stats, label=f"records cold {full_days}d",
-            baseline_label=f"object {ref_days}d",
+        pool_stats.compare(
+            serial_stats, label="columnar jobs 2",
+            baseline_label="columnar serial",
         ),
         "",
-        warm_rec_stats.compare(
-            records_stats, label="records warm mmap",
-            baseline_label="records cold",
-        ),
-        "",
-        f"{f'object stream ({ref_days}d slice)':<28} {object_seconds:>9.3f}s",
-        f"{'records cold (180d)':<28} {records_seconds:>9.3f}s",
-        f"{'records warm mmap, jobs 2':<28} {warm_rec_seconds:>9.3f}s",
+        f"{'object-stream oracle':<28} {oracle_seconds:>9.3f}s",
+        f"{'columnar serial (cold)':<28} {serial_seconds:>9.3f}s",
+        f"{'columnar jobs 2 (cold)':<28} {pool_seconds:>9.3f}s",
         f"{'warm activity-table hit':<28} {warm_seconds:>9.3f}s",
-        f"{'mmap fan-out (jobs 2)':<28} {mmap_fanout_seconds:>9.3f}s",
-        f"{'pickled fan-out (jobs 2)':<28} {pickle_fanout_seconds:>9.3f}s",
-        f"{'per-day cold (rec/obj)':<28} {cold_speedup:>9.2f}x",
-        f"{'per-day warm (rec/obj)':<28} {warm_speedup:>9.2f}x",
-        f"{'per-day speedup (col/obj)':<28} {columnar_speedup:>9.2f}x",
-        f"{'cold/warm cache speedup':<28} {cache_speedup:>9.2f}x",
+        f"{'stage speedup (col/oracle)':<28} {speedup:>9.2f}x",
+        f"{'cold/warm cache speedup':<28} "
+        f"{serial_seconds / warm_seconds:>9.2f}x",
     ]
     record_result("bgp_activity", "\n".join(lines))
-
 
 
 def test_cache_verification_overhead(record_result, tmp_path):

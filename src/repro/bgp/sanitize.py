@@ -31,9 +31,7 @@ class SanitizeStats:
     """Counters filled in by :func:`sanitize`.
 
     ``dropped`` is a :class:`collections.Counter` keyed by drop reason
-    (still a plain ``Dict[str, int]`` to every consumer), so chunked
-    fan-outs can :meth:`merge` per-chunk stats without reimplementing
-    the accumulation.
+    (still a plain ``Dict[str, int]`` to every consumer).
     """
 
     kept: int = 0
@@ -41,17 +39,6 @@ class SanitizeStats:
 
     def drop(self, reason: str) -> None:
         self.dropped[reason] += 1
-
-    def merge(self, other: "SanitizeStats") -> "SanitizeStats":
-        """Fold another stats object into this one (chunk merge).
-
-        Associative and order-insensitive, so merging per-chunk stats
-        in any order equals the single-pass counts — the property test
-        pins this for the records fan-out.
-        """
-        self.kept += other.kept
-        self.dropped.update(other.dropped)
-        return self
 
     @property
     def total_dropped(self) -> int:

@@ -65,13 +65,11 @@ worker-pool failures, ``--on-worker-failure {raise,serial}`` picks
 between failing fast and degrading to serial execution with identical
 output, and ``--profile`` prints per-stage wall times plus any runtime
 degradation events.
-``--bgp-engine columnar|records|object`` rebuilds operational lifetimes
-from the message-level BGP stream over the last ``--bgp-window`` days
-(all engines produce byte-identical datasets; cached activity tables
-make repeat runs skip the stream).  The ``records`` engine packs the
-window into the ``bgp-records/v1`` columnar container — cached as a raw
-artifact and re-opened via mmap on later runs; ``--bgp-records PATH``
-pins the container to an explicit file.
+``--bgp-engine columnar`` rebuilds operational lifetimes from the
+message-level BGP stream over the last ``--bgp-window`` days with the
+columnar activity engine (sanitize, then the >1-peer visibility rule;
+cached activity tables make repeat runs skip the stream).  The default
+``interval`` reads the simulation's activity intervals directly.
 ``--restoration-engine table|object`` picks the §3.1 delegation
 restoration path: ``table`` (the default) packs the archive into the
 ``delegation-table/v1`` container once and restores off whole-array
@@ -202,27 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
                           "diff' can address it by digest prefix (default "
                           "when --manifest is written: OUT/runs.jsonl)")
     simulate.add_argument("--bgp-engine",
-                          choices=("interval", "columnar", "records", "object"),
+                          choices=("interval", "columnar"),
                           default="interval",
                           help="how operational activity is derived: "
                           "'interval' reads the simulation's activity "
                           "intervals directly (default, full window); "
-                          "'columnar', 'records' and 'object' rebuild it "
-                          "from the message-level BGP stream over the last "
-                          "--bgp-window days (columnar = incremental "
-                          "engine, records = packed-array vectorized "
-                          "engine with mmap re-open, object = per-element "
-                          "baseline; all yield byte-identical lifetimes)")
+                          "'columnar' rebuilds it from the message-level "
+                          "BGP stream over the last --bgp-window days "
+                          "(sanitize, then the >1-peer visibility rule)")
     simulate.add_argument("--bgp-window", type=int, default=365,
                           help="days of message-level BGP to rebuild when "
-                          "--bgp-engine is columnar/records/object "
-                          "(default 365)")
-    simulate.add_argument("--bgp-records", type=Path, default=None,
-                          metavar="PATH",
-                          help="container file for the packed bgp-records/v1 "
-                          "element encoding (records engine only): created "
-                          "on first run, memory-mapped zero-copy on every "
-                          "later run instead of re-materializing the stream")
+                          "--bgp-engine is columnar (default 365)")
     simulate.add_argument("--restoration-engine",
                           choices=("table", "object"),
                           default="table",
@@ -512,9 +500,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             start = max(config.start_day, end - args.bgp_window + 1)
             op_lives, _tables = build_operational_dataset(
                 bundle.world, start=start, end=end, timeout=args.timeout,
-                engine=args.bgp_engine, executor=executor,
-                cache=args.cache_dir, cache_verify=args.cache_verify,
-                stats=stats, records_path=args.bgp_records,
+                executor=executor, cache=args.cache_dir,
+                cache_verify=args.cache_verify, stats=stats,
             )
             joint = JointAnalysis(
                 admin_lives=bundle.admin_lives,
@@ -588,9 +575,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 ),
                 "bgp_engine": args.bgp_engine,
                 "bgp_window": args.bgp_window,
-                "bgp_records": (
-                    str(args.bgp_records) if args.bgp_records else None
-                ),
                 "restoration_engine": args.restoration_engine,
                 "restoration_table": (
                     str(args.restoration_table)

@@ -16,32 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..asn.numbers import ASN
-from ..bgp.activity import (
-    DEFAULT_DAY_CHUNK,
-    DEFAULT_REBUILD_FRACTION,
-    build_world_activity_tables,
-)
+from ..bgp.activity import build_world_activity_tables
 from ..bgp.messages import BgpElement
-from ..bgp.records import (
-    RECORDS_DAY_CHUNK,
-    RecordSet,
-    encode_world_records,
-    records_day_classes,
-    sanitize_reasons,
-    sanitize_stats,
-)
-from ..bgp.sanitize import SanitizeStats, sanitize
-from ..bgp.stream import SyntheticBgpStream
 from ..bgp.visibility import peer_visibility
-from ..runtime.cache import (
-    ACTIVITY_TABLE_VERSION,
-    BGP_RECORDS_VERSION,
-    ArtifactCache,
-)
+from ..runtime.cache import ACTIVITY_TABLE_VERSION, ArtifactCache
 from ..runtime.executor import (
     DEFAULT_CHUNK_SIZE,
     ExecutorSpec,
@@ -173,238 +154,6 @@ def build_bgp_lifetimes(
     return out
 
 
-def _object_stream_tables(
-    world,
-    start: Day,
-    end: Day,
-    min_corroboration: int,
-    stats: PipelineStats,
-) -> Dict[ASN, OperationalActivity]:
-    """The object-stream baseline: one day at a time, element objects.
-
-    Algorithmically identical to streaming every day through
-    :func:`repro.bgp.sanitize.sanitize` + :func:`activity_from_elements`
-    (whose equivalence the property tests pin), but processed day by day
-    so the window's elements never coexist in memory, and with the
-    stream/sanitize/visibility stage costs timed separately.
-    """
-    stream = SyntheticBgpStream(
-        world.topology, world.collectors, world.announcements_for_day
-    )
-    san_stats = SanitizeStats()
-    observed_days: Dict[ASN, List[Day]] = {}
-    single_days: Dict[ASN, List[Day]] = {}
-    stream_seconds = sanitize_seconds = visibility_seconds = 0.0
-    for day in range(start, end + 1):
-        t0 = perf_counter()
-        raw = list(stream.elements_for_day(day))
-        t1 = perf_counter()
-        kept = list(sanitize(raw, san_stats))
-        t2 = perf_counter()
-        for asn, peers in peer_visibility(kept).items():
-            npeers = len(peers)
-            if npeers >= min_corroboration:
-                observed_days.setdefault(asn, []).append(day)
-            elif npeers == 1:
-                single_days.setdefault(asn, []).append(day)
-        t3 = perf_counter()
-        stream_seconds += t1 - t0
-        sanitize_seconds += t2 - t1
-        visibility_seconds += t3 - t2
-    t0 = perf_counter()
-    tables = {
-        asn: OperationalActivity(
-            asn=asn,
-            observed=IntervalSet.from_sorted_days(observed_days.get(asn, [])),
-            single_peer=IntervalSet.from_sorted_days(single_days.get(asn, [])),
-        )
-        for asn in set(observed_days) | set(single_days)
-    }
-    visibility_seconds += perf_counter() - t0
-    span = stats.record("bgp:stream", stream_seconds, items=end - start + 1,
-                        component="bgp", engine="object")
-    _attach(span, record_boundary(
-        "bgp:stream",
-        records_in=san_stats.total_seen,
-        kept=san_stats.total_seen,
-        metrics=stats.metrics,
-    ))
-    span = stats.record("bgp:sanitize", sanitize_seconds,
-                        items=san_stats.total_seen,
-                        component="bgp", engine="object")
-    _attach(span, record_boundary(
-        "bgp:sanitize",
-        records_in=san_stats.total_seen,
-        kept=san_stats.kept,
-        dropped=san_stats.dropped,
-        metrics=stats.metrics,
-    ))
-    span = stats.record("bgp:visibility", visibility_seconds,
-                        items=len(tables),
-                        component="bgp", engine="object")
-    # ASN-day conservation: every day bucketed per ASN must reappear in
-    # exactly one interval of the built activity tables
-    _attach(span, record_boundary(
-        "bgp:visibility",
-        records_in=sum(len(d) for d in observed_days.values())
-        + sum(len(d) for d in single_days.values()),
-        routed={
-            "observed": sum(
-                t.observed.total_days for t in tables.values()
-            ),
-            "single_peer": sum(
-                t.single_peer.total_days for t in tables.values()
-            ),
-        },
-        metrics=stats.metrics,
-    ))
-    stats.metrics.inc("bgp.elements", san_stats.total_seen)
-    return tables
-
-
-def _obtain_records(
-    world,
-    start: Day,
-    end: Day,
-    cache: Optional[ArtifactCache],
-    records_path: Optional[Path],
-) -> Tuple[RecordSet, str]:
-    """Get the window's packed record set: mmap, cache, or encode.
-
-    Priority: an existing ``records_path`` container is memory-mapped
-    as-is; otherwise a verified raw cache entry is memory-mapped;
-    otherwise the window is encoded once and persisted to whichever of
-    the two destinations exist (the cached artifact file doubles as the
-    mmap fan-out backing file).  Returns ``(record_set, source)`` with
-    ``source`` one of ``"mmap"``/``"cache"``/``"encoded"``.
-    """
-    if records_path is not None:
-        records_path = Path(records_path)
-        if records_path.exists():
-            return RecordSet.from_file(records_path), "mmap"
-    key: Optional[str] = None
-    if cache is not None:
-        # min_corroboration is deliberately outside this key: records
-        # are the pre-visibility element encoding, so one artifact
-        # serves every threshold
-        key = cache.key_for(
-            artifact="bgp-records",
-            records_version=BGP_RECORDS_VERSION,
-            config=world.config,
-            start=start,
-            end=end,
-        )
-        cached = cache.load_raw_path(key)
-        if cached is not None:
-            rs = RecordSet.from_file(cached)
-            if records_path is not None:
-                rs.to_file(records_path)
-            return rs, "cache"
-    rs = encode_world_records(world, start, end)
-    if records_path is not None:
-        rs.to_file(records_path)
-        rs.source = records_path
-    if cache is not None and key is not None:
-        stored = cache.store_raw(key, rs.to_bytes())
-        if stored is not None and rs.source is None:
-            rs.source = stored
-    return rs, "encoded"
-
-
-def _records_tables(
-    world,
-    start: Day,
-    end: Day,
-    min_corroboration: int,
-    stats: PipelineStats,
-    executor,
-    cache: Optional[ArtifactCache],
-    records_path: Optional[Path],
-    records_fanout: str,
-    day_chunk: int,
-) -> Dict[ASN, OperationalActivity]:
-    """The vectorized engine: packed columns, masks, mmap fan-out.
-
-    Same three stage spans and ledger boundaries as the object baseline
-    — ``bgp:stream`` is the encode (or zero-copy re-open), ``bgp:
-    sanitize`` one vectorized mask pass, ``bgp:visibility`` the chunked
-    per-day classification — so dashboards, the perf gate and
-    ``check_ledger`` see the same shape whichever engine ran.
-    """
-    t0 = perf_counter()
-    rs, source = _obtain_records(world, start, end, cache, records_path)
-    if cache is not None:
-        stats.drain_events_from(cache)
-    span = stats.record("bgp:stream", perf_counter() - t0, items=len(rs),
-                        component="bgp", engine="records", source=source)
-    _attach(span, record_boundary(
-        "bgp:stream",
-        records_in=len(rs),
-        kept=len(rs),
-        metrics=stats.metrics,
-    ))
-
-    t0 = perf_counter()
-    reasons = sanitize_reasons(rs)
-    san_stats = sanitize_stats(reasons)
-    span = stats.record("bgp:sanitize", perf_counter() - t0,
-                        items=san_stats.total_seen,
-                        component="bgp", engine="records")
-    _attach(span, record_boundary(
-        "bgp:sanitize",
-        records_in=san_stats.total_seen,
-        kept=san_stats.kept,
-        dropped=san_stats.dropped,
-        metrics=stats.metrics,
-    ))
-
-    t0 = perf_counter()
-    run = records_day_classes(
-        rs,
-        min_corroboration=min_corroboration,
-        executor=executor,
-        day_chunk=day_chunk,
-        fanout=records_fanout,
-    )
-    observed_days: Dict[ASN, List[Day]] = {}
-    single_days: Dict[ASN, List[Day]] = {}
-    # triples arrive day-ascending (chunk order), so per-ASN day lists
-    # come out pre-sorted for interval construction
-    for asn, day, cls in zip(
-        run.asns.tolist(), run.days.tolist(), run.classes.tolist()
-    ):
-        bucket = observed_days if cls == 2 else single_days
-        bucket.setdefault(asn, []).append(day)
-    tables = {
-        asn: OperationalActivity(
-            asn=asn,
-            observed=IntervalSet.from_sorted_days(observed_days.get(asn, [])),
-            single_peer=IntervalSet.from_sorted_days(single_days.get(asn, [])),
-        )
-        for asn in set(observed_days) | set(single_days)
-    }
-    span = stats.record("bgp:visibility", perf_counter() - t0,
-                        items=len(tables),
-                        component="bgp", engine="records",
-                        chunks=run.chunks, fanout=run.fanout)
-    # ASN-day conservation: every classified (ASN, day) bucket must
-    # reappear in exactly one interval of the built tables
-    _attach(span, record_boundary(
-        "bgp:visibility",
-        records_in=len(run.asns),
-        routed={
-            "observed": sum(t.observed.total_days for t in tables.values()),
-            "single_peer": sum(
-                t.single_peer.total_days for t in tables.values()
-            ),
-        },
-        metrics=stats.metrics,
-    ))
-    stats.metrics.inc("bgp.elements", len(rs))
-    stats.metrics.inc("bgp.records_chunks", run.chunks)
-    return tables
-
-
 def build_operational_dataset(
     world,
     *,
@@ -413,55 +162,32 @@ def build_operational_dataset(
     timeout: int = DEFAULT_TIMEOUT,
     min_peers: int = 2,
     min_corroboration: int = 2,
-    engine: str = "columnar",
     executor: ExecutorSpec = None,
     cache: Union[ArtifactCache, str, Path, None] = None,
     cache_verify: str = "sha256",
     stats: Optional[PipelineStats] = None,
-    day_chunk: Optional[int] = None,
-    full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
-    records_path: Union[str, Path, None] = None,
-    records_fanout: str = "auto",
 ) -> Tuple[Dict[ASN, List[BgpLifetime]], Dict[ASN, OperationalActivity]]:
     """Message-level §3.2→§4.2: activity tables plus operational lives.
 
     Rebuilds per-ASN :class:`OperationalActivity` from the BGP message
-    stream of ``world`` over ``[start, end]`` and segments it into
-    lifetimes.  ``engine`` selects how the tables are built:
+    stream of ``world`` over ``[start, end]`` with the columnar engine
+    (:mod:`repro.bgp.activity`: interned paths, peer-bitset counters,
+    day diffing, executor fan-out over fixed day chunks, so output
+    never depends on the executor) and segments it into lifetimes.
+    The tables equal what :func:`activity_from_elements` derives from
+    the sanitized per-element stream; the tests hold the engine to
+    that oracle.
 
-    ``"columnar"``
-        The incremental engine (:mod:`repro.bgp.activity`): interned
-        paths, peer-bitset counters, day diffing, executor fan-out over
-        fixed day chunks.
-    ``"records"``
-        The vectorized engine (:mod:`repro.bgp.records`): the window's
-        elements packed once into the ``bgp-records/v1`` columnar
-        format (cached as a raw artifact and memory-mapped on later
-        runs — ``records_path`` pins the container to an explicit
-        file), sanitize/visibility as batch array ops, ``process:N``
-        fan-out over ``(path, offset, length)`` mmap slices
-        (``records_fanout``: ``"auto"``/``"mmap"``/``"pickle"``).
-    ``"object"``
-        The per-element baseline: one :class:`~repro.bgp.messages.
-        BgpElement` per (collector, peer, announcement) per day.
-
-    All engines produce byte-identical tables (and therefore
-    byte-identical lifetimes); when ``cache`` is given, the tables are
-    stored as an ``activity-table`` artifact keyed on the world config,
-    the window and ``min_corroboration`` — *not* the engine — so a warm
-    hit skips the stream/sanitize/visibility stages entirely, whichever
-    engine ran first.  ``timeout``/``min_peers`` only shape the cheap
-    segmentation stage and are deliberately outside the key.
+    When ``cache`` is given, the tables are stored as an
+    ``activity-table`` artifact keyed on the world config, the window
+    and ``min_corroboration``, so a warm hit skips the stream/sanitize/
+    visibility stages entirely.  ``timeout``/``min_peers`` only shape
+    the cheap segmentation stage and are deliberately outside the key.
     ``cache_verify`` selects the integrity mode when ``cache`` is a
-    path (``"sha256"`` manifests, or ``"off"``).  ``day_chunk=None``
-    picks each engine's tuned fan-out chunk (columnar: 512 days,
-    records: 7); either way the chunking is a fixed constant, so
-    output never depends on the executor.
+    path (``"sha256"`` manifests, or ``"off"``).
 
     Returns ``(op_lives, tables)``.
     """
-    if engine not in ("columnar", "object", "records"):
-        raise ValueError(f"unknown BGP activity engine {engine!r}")
     start = world.config.start_day if start is None else start
     end = world.config.end_day if end is None else end
     if stats is None:
@@ -497,67 +223,46 @@ def build_operational_dataset(
             stats.drain_events_from(cache)
 
         if tables is None:
-            if engine == "columnar":
-                tables, report = build_world_activity_tables(
-                    world,
-                    start=start,
-                    end=end,
-                    min_corroboration=min_corroboration,
-                    executor=executor,
-                    day_chunk=(DEFAULT_DAY_CHUNK if day_chunk is None
-                               else day_chunk),
-                    full_rebuild_fraction=full_rebuild_fraction,
-                )
-                span = stats.record("bgp:stream", report.stream_seconds,
-                                    items=report.changed_days,
-                                    component="bgp", engine="columnar")
-                _attach(span, record_boundary(
-                    "bgp:stream",
-                    records_in=report.elements,
-                    kept=report.elements,
-                    metrics=stats.metrics,
-                ))
-                span = stats.record("bgp:sanitize", report.sanitize_seconds,
-                                    items=report.elements,
-                                    component="bgp", engine="columnar")
-                _attach(span, record_boundary(
-                    "bgp:sanitize",
-                    records_in=report.elements,
-                    kept=report.kept,
-                    dropped=report.dropped,
-                    metrics=stats.metrics,
-                ))
-                span = stats.record("bgp:visibility", report.visibility_seconds,
-                                    items=report.chunks,
-                                    component="bgp", engine="columnar")
-                # ASN-day conservation across the chunk-run merge: the
-                # coalescing join must neither lose nor invent days
-                _attach(span, record_boundary(
-                    "bgp:visibility",
-                    records_in=sum(report.class_days_in.values()),
-                    routed=report.class_days,
-                    metrics=stats.metrics,
-                ))
-                stats.metrics.inc("bgp.elements", report.elements)
-                stats.metrics.inc("bgp.contributions", report.contributions)
-                stats.metrics.inc("bgp.rebuilds", report.rebuilds)
-            elif engine == "records":
-                tables = _records_tables(
-                    world,
-                    start,
-                    end,
-                    min_corroboration,
-                    stats,
-                    executor,
-                    cache,
-                    Path(records_path) if records_path is not None else None,
-                    records_fanout,
-                    RECORDS_DAY_CHUNK if day_chunk is None else day_chunk,
-                )
-            else:
-                tables = _object_stream_tables(
-                    world, start, end, min_corroboration, stats
-                )
+            tables, report = build_world_activity_tables(
+                world,
+                start=start,
+                end=end,
+                min_corroboration=min_corroboration,
+                executor=executor,
+            )
+            span = stats.record("bgp:stream", report.stream_seconds,
+                                items=report.changed_days,
+                                component="bgp", engine="columnar")
+            _attach(span, record_boundary(
+                "bgp:stream",
+                records_in=report.elements,
+                kept=report.elements,
+                metrics=stats.metrics,
+            ))
+            span = stats.record("bgp:sanitize", report.sanitize_seconds,
+                                items=report.elements,
+                                component="bgp", engine="columnar")
+            _attach(span, record_boundary(
+                "bgp:sanitize",
+                records_in=report.elements,
+                kept=report.kept,
+                dropped=report.dropped,
+                metrics=stats.metrics,
+            ))
+            span = stats.record("bgp:visibility", report.visibility_seconds,
+                                items=report.chunks,
+                                component="bgp", engine="columnar")
+            # ASN-day conservation across the chunk-run merge: the
+            # coalescing join must neither lose nor invent days
+            _attach(span, record_boundary(
+                "bgp:visibility",
+                records_in=sum(report.class_days_in.values()),
+                routed=report.class_days,
+                metrics=stats.metrics,
+            ))
+            stats.metrics.inc("bgp.elements", report.elements)
+            stats.metrics.inc("bgp.contributions", report.contributions)
+            stats.metrics.inc("bgp.rebuilds", report.rebuilds)
             if cache is not None and key is not None:
                 with stats.stage(
                     "cache:store", items=len(tables), component="cache"
@@ -566,7 +271,7 @@ def build_operational_dataset(
                 stats.drain_events_from(cache)
 
         with stats.stage(
-            "bgp:segment", component="bgp", engine=engine
+            "bgp:segment", component="bgp", engine="columnar"
         ) as timing:
             op_lives = build_bgp_lifetimes(
                 tables,
@@ -591,9 +296,10 @@ def activity_from_elements(
     """Build activity from message-level (sanitized) element streams.
 
     This is the slow, file-faithful path: per day, every ASN appearing
-    in paths is bucketed by how many distinct peers shared it.  The
-    fast path (the simulation emitting activity directly) is
-    equivalence-tested against this in the integration tests.
+    in paths is bucketed by how many distinct peers shared it.  It is
+    the oracle the columnar engine behind
+    :func:`build_operational_dataset` (and the simulation emitting
+    activity directly) is equivalence-tested against.
     """
     out: Dict[ASN, OperationalActivity] = {}
     observed_days: Dict[ASN, List[Day]] = {}

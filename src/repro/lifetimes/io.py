@@ -14,13 +14,12 @@ inside the parser.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from ..asn.numbers import ASN
+from ..runtime.observability import write_bytes_atomic
 from ..timeline.dates import from_iso
 from .records import AdminLifetime, BgpLifetime
 
@@ -34,23 +33,8 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Uniquifier for temp names: pid alone collides across threads.
-_UNIQUE = itertools.count()
-
-
 class DatasetIOError(ValueError):
     """A dataset file could not be parsed into lifetime records."""
-
-
-def _atomic_write_text(path: PathLike, text: str) -> None:
-    """Write a file atomically; on failure, no partial file remains."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_UNIQUE)}")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _load_rows(path: PathLike, dataset: str) -> List[Dict[str, Any]]:
@@ -77,7 +61,8 @@ def dump_admin_dataset(
         for asn in sorted(lifetimes)
         for life in lifetimes[asn]
     ]
-    _atomic_write_text(path, json.dumps(records, indent=1) + "\n")
+    text = json.dumps(records, indent=1) + "\n"
+    write_bytes_atomic(path, text.encode("utf-8"))
     return len(records)
 
 
@@ -90,7 +75,8 @@ def dump_bgp_dataset(
         for asn in sorted(lifetimes)
         for life in lifetimes[asn]
     ]
-    _atomic_write_text(path, json.dumps(records, indent=1) + "\n")
+    text = json.dumps(records, indent=1) + "\n"
+    write_bytes_atomic(path, text.encode("utf-8"))
     return len(records)
 
 

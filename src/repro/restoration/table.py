@@ -4,8 +4,8 @@ The object engine (:mod:`.view` + the per-step modules) walks
 dict-of-``Stint``-list timelines; building those views dominates the
 registry half of the pipeline, and fanning them out pickles whole
 ``RegistryView`` timelines per task (the 12x ``process:N`` blowup the
-scaling benchmark exposed).  This module mirrors the
-``repro.bgp.records`` playbook for the delegation side:
+scaling benchmark exposed).  This module packs the delegation side
+into columns instead:
 
 * each registry's archive rows are packed once into a single-file
   container — 8-byte magic, ``<u4`` header length, canonical-JSON
@@ -58,6 +58,7 @@ from ..rir.pitfalls import ERX_PLACEHOLDER_DATE
 from ..runtime.cache import DELEGATION_TABLE_VERSION, ArtifactCache
 from ..runtime.executor import per_process
 from ..runtime.ledger import record_boundary
+from ..runtime.observability import write_bytes_atomic
 from ..timeline.dates import Day
 from .duplicates import resolve_duplicate_records
 from .gaps import bridge_unavailable_gaps
@@ -297,9 +298,9 @@ class DelegationTable:
     def to_bytes(self) -> bytes:
         """Serialize to the single-file container format.
 
-        Layout mirrors ``bgp-records/v1``: 8-byte magic, ``<u4`` header
-        length, json header, then each section padded to a 64-byte
-        boundary.  All sections are little-endian by dtype
+        Layout: 8-byte magic, ``<u4`` header length, canonical-JSON
+        header, then each section padded to a 64-byte boundary
+        (DESIGN.md §9).  All sections are little-endian by dtype
         construction, so the container is byte-identical across
         platforms.
         """
@@ -355,7 +356,7 @@ class DelegationTable:
         return bytes(out)
 
     def to_file(self, path: Union[str, Path]) -> Path:
-        return _write_container(path, self.to_bytes())
+        return write_bytes_atomic(path, self.to_bytes())
 
     @classmethod
     def _from_buffer(
@@ -877,16 +878,6 @@ class DelegationTable:
         return view
 
 
-def _write_container(path: Union[str, Path], blob: bytes) -> Path:
-    """Atomically write the container next to ``path`` and rename."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
-    return path
-
-
 def obtain_table(
     archive: DelegationArchive,
     *,
@@ -896,9 +887,8 @@ def obtain_table(
 ) -> Tuple[DelegationTable, str, Tuple[str, Any]]:
     """Get the archive's packed table: mmap, cache, or encode.
 
-    Priority mirrors the BGP records path: an existing ``table_path``
-    container is memory-mapped as-is; otherwise a verified raw cache
-    entry is memory-mapped (the cache key needs ``cache_key_parts``,
+    Priority: an existing ``table_path`` container is memory-mapped
+    as-is; otherwise a verified raw cache entry is memory-mapped (the cache key needs ``cache_key_parts``,
     the archive-determining parts the caller already hashes for the
     bundle — the archive itself is too expensive to fingerprint here);
     otherwise the archive is encoded once and persisted to whichever
@@ -929,7 +919,7 @@ def obtain_table(
     table = DelegationTable.from_archive(archive)
     blob = table.to_bytes()
     if table_path is not None:
-        _write_container(table_path, blob)
+        write_bytes_atomic(table_path, blob)
         table.source = table_path
     if cache is not None and key is not None:
         # best-effort seed for the *next* run; the store may be torn or

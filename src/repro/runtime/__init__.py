@@ -92,6 +92,7 @@ from .observability import (
     get_metrics,
     git_describe,
     reset_metrics,
+    write_bytes_atomic,
     write_json_atomic,
     write_jsonl_atomic,
     write_run_manifest,
@@ -116,6 +117,7 @@ __all__ = [
     "get_metrics",
     "git_describe",
     "reset_metrics",
+    "write_bytes_atomic",
     "write_json_atomic",
     "write_jsonl_atomic",
     "write_run_manifest",

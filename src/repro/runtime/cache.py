@@ -51,7 +51,6 @@ from .observability import MetricsRegistry, resolve_metrics
 __all__ = [
     "PIPELINE_VERSION",
     "ACTIVITY_TABLE_VERSION",
-    "BGP_RECORDS_VERSION",
     "DELEGATION_TABLE_VERSION",
     "MANIFEST_FORMAT",
     "USE_ENV_FAULTS",
@@ -71,26 +70,14 @@ PIPELINE_VERSION = "2026.08-1"
 
 #: Version tag of the ``activity-table`` bundle component (the per-ASN
 #: :class:`~repro.lifetimes.bgp.OperationalActivity` tables the BGP
-#: activity engines produce).  Part of every activity-table cache key;
-#: bump when the engines' output semantics change.  The *engine name*
-#: is deliberately not part of the key: columnar and object-stream
-#: builds are contractually byte-identical, so either may serve a hit
-#: for the other — the scaling benchmark's determinism check relies on
-#: exactly this property.
+#: activity engine produces).  Part of every activity-table cache key;
+#: bump when the engine's output semantics change.
 ACTIVITY_TABLE_VERSION = "activity-table/v1"
-
-#: Version tag of the packed BGP records artifact (the zero-copy
-#: columnar element encoding of :mod:`repro.bgp.records`).  Part of
-#: every records cache key — it doubles as the container's format tag,
-#: so a format change both invalidates the key and is rejected by the
-#: container parser.  Stored as a *raw* cache entry (``.raw``), not a
-#: pickle: the artifact file on disk IS the mmap-able container.
-BGP_RECORDS_VERSION = "bgp-records/v1"
 
 #: Version tag of the packed delegation-restoration table (the
 #: zero-copy columnar encoding of :mod:`repro.restoration.table`).
-#: Part of every delegation-table cache key and, like the records tag,
-#: doubles as the container's format tag: a format change invalidates
+#: Part of every delegation-table cache key and doubles as the
+#: container's format tag: a format change invalidates
 #: the key and is rejected by the parser.  Stored raw (``.raw``), not
 #: pickled — the cache entry on disk IS the mmap-able container the
 #: ``process:N`` restoration fan-out re-opens.
@@ -246,7 +233,7 @@ class ArtifactCache:
 
     def raw_path_for(self, key: str) -> Path:
         """Payload path of a *raw* entry (bytes stored as-is, no pickle
-        envelope) — e.g. the mmap-able packed BGP records container."""
+        envelope) — e.g. the mmap-able packed delegation-table container."""
         return self.root / f"{key}.raw"
 
     def raw_manifest_path_for(self, key: str) -> Path:
@@ -447,7 +434,7 @@ class ArtifactCache:
 
         The payload lands at :meth:`raw_path_for` byte-for-byte, so the
         entry can be re-opened zero-copy (``mmap``) by later runs —
-        this is how the packed BGP records container is cached.  Same
+        this is how the packed delegation-table container is cached.  Same
         manifest/verify/quarantine guarantees as :meth:`store`.
         """
         strict = self.strict_store if strict is None else strict

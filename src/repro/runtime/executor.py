@@ -399,10 +399,11 @@ _PER_PROCESS_PID: Optional[int] = None
 def per_process(key, builder: Callable[[], T]) -> T:
     """Build-once-per-process memo for worker-side shared resources.
 
-    Mmap fan-out tasks use this to open the packed records container
-    once per worker process instead of once per chunk: the payload
-    carries only ``(path, lo, hi)`` and the first task in each worker
-    pays the open, every later chunk reuses the mapping.  The memo is
+    Mmap fan-out tasks use this to open the packed delegation-table
+    container once per worker process instead of once per task: the
+    payload carries only a ``(path, registry)`` descriptor and the
+    first task in each worker pays the open, every later task reuses
+    the mapping.  The memo is
     invalidated when the pid changes (a forked child re-opens rather
     than trusting inherited file handles).
     """

@@ -60,6 +60,7 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "reset_metrics",
+    "write_bytes_atomic",
     "write_json_atomic",
     "write_jsonl_atomic",
     "git_describe",
@@ -74,18 +75,24 @@ TRACE_FORMAT = "pipeline-trace/v1"
 RUN_MANIFEST_FORMAT = "run-manifest/v1"
 
 
-# -- atomic JSON writers ----------------------------------------------------
+# -- atomic writers -----------------------------------------------------------
 
+#: Uniquifier for temp names: the pid alone collides across threads.
 _UNIQUE = itertools.count()
 
 
-def _write_text_atomic(path: Union[str, Path], text: str) -> Path:
-    """Write ``text`` via a unique temp file + ``os.replace``."""
+def write_bytes_atomic(path: Union[str, Path], data: bytes) -> Path:
+    """Write ``data`` via a unique temp file + ``os.replace``.
+
+    Readers see the old file or the new one, never a torn mix, and a
+    write that fails part-way leaves neither a partial file at ``path``
+    nor a stray ``*.tmp.*`` beside it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_UNIQUE)}")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -94,9 +101,8 @@ def _write_text_atomic(path: Union[str, Path], text: str) -> Path:
 
 def write_json_atomic(path: Union[str, Path], document: Any) -> Path:
     """Atomically write one canonical (sorted-key) JSON document."""
-    return _write_text_atomic(
-        path, json.dumps(document, sort_keys=True, indent=2) + "\n"
-    )
+    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_jsonl_atomic(path: Union[str, Path], lines: Sequence[Any]) -> Path:
@@ -105,7 +111,7 @@ def write_jsonl_atomic(path: Union[str, Path], lines: Sequence[Any]) -> Path:
         json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
         for line in lines
     )
-    return _write_text_atomic(path, text)
+    return write_bytes_atomic(path, text.encode("utf-8"))
 
 
 # -- spans ------------------------------------------------------------------
@@ -747,7 +753,6 @@ def build_run_manifest(
     # Call-time import: the cache module imports this one for metrics.
     from .cache import (
         ACTIVITY_TABLE_VERSION,
-        BGP_RECORDS_VERSION,
         MANIFEST_FORMAT,
         PIPELINE_VERSION,
         cache_key,
@@ -774,7 +779,6 @@ def build_run_manifest(
         "cache_versions": {
             "pipeline": PIPELINE_VERSION,
             "activity_table": ACTIVITY_TABLE_VERSION,
-            "bgp_records": BGP_RECORDS_VERSION,
             "entry_manifest": MANIFEST_FORMAT,
         },
         "settings": fingerprint(dict(settings)) if settings is not None else {},

@@ -208,8 +208,7 @@ class PipelineStats:
         Stage names present in either run are listed (in first-seen
         order); the speedup column is baseline seconds over this run's
         seconds, so values above 1 mean this run is faster.  Used by
-        the scaling benchmark to contrast the columnar BGP activity
-        engine with the object-stream baseline.
+        the scaling benchmark to contrast backends stage by stage.
         """
         mine = self.as_dict()
         theirs = baseline.as_dict()

@@ -274,6 +274,10 @@ class LifetimesServer:
 
         Unparseable heads raise :class:`_DroppedRequest` so the caller
         can count them and, when ``respond`` is set, still answer 400.
+        The server never reads request bodies, so a request that is not
+        a ``GET`` or that frames a body (``Content-Length`` > 0, any
+        ``Transfer-Encoding``) is answered with ``Connection: close``:
+        its unread body must never be parsed as the next request.
         """
         try:
             line = await reader.readline()
@@ -293,6 +297,7 @@ class LifetimesServer:
             raise _DroppedRequest("malformed-head", True)
         method, target, version = parts
         keep_alive = version.upper() != "HTTP/1.0"
+        has_body = False
         for _ in range(MAX_HEADER_LINES):
             try:
                 header = await reader.readline()
@@ -303,10 +308,17 @@ class LifetimesServer:
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "connection":
-                keep_alive = value.strip().lower() != "close"
+            name, value = name.strip().lower(), value.strip()
+            if name == "connection":
+                keep_alive = value.lower() != "close"
+            elif name == "transfer-encoding" or (
+                name == "content-length" and value != "0"
+            ):
+                has_body = True
         else:
             raise _DroppedRequest("header-flood", True)
+        if method != "GET" or has_body:
+            keep_alive = False
         return method, target, keep_alive
 
     @staticmethod

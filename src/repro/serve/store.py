@@ -516,7 +516,6 @@ def build_store(
         timeout=timeout,
         min_peers=min_peers,
         min_corroboration=min_corroboration,
-        engine="columnar",
         executor=executor,
         cache=cache,
         stats=stats,

@@ -39,6 +39,7 @@ from repro.bgp.activity import (
 from repro.bgp.sanitize import SanitizeStats
 from repro.lifetimes.bgp import (
     activity_from_elements,
+    build_bgp_lifetimes,
     build_operational_dataset,
 )
 from repro.net import Prefix
@@ -153,9 +154,9 @@ class TestEngineGuards:
             engine.apply(6, removed=[Announcement(1001, P1)] * 2)
 
     def test_unknown_engine_rejected(self):
-        world = WorldSimulator(tiny(5)).run()
-        with pytest.raises(ValueError):
-            build_operational_dataset(world, engine="hexagonal")
+        # the columnar engine is the only one: there is nothing to select
+        with pytest.raises(TypeError):
+            build_operational_dataset(None, engine="columnar")
 
 
 # -- the equivalence property ------------------------------------------------
@@ -269,37 +270,44 @@ class TestWorldPipeline:
         end = world.config.end_day
         return end - 120, end
 
-    def test_world_engines_agree(self, world, window):
+    @pytest.fixture(scope="class")
+    def oracle(self, world, window):
+        """The object-stream tables over the window, computed once.
+
+        Tables do not depend on ``min_peers`` (only segmentation does),
+        so one oracle serves every threshold below.
+        """
+        start, end = window
+        return legacy_tables(
+            world.topology, world.collectors, world.announcements_for_day,
+            start, end, 2,
+        )
+
+    def test_world_engines_agree(self, world, window, oracle):
         start, end = window
         columnar, _ = build_world_activity_tables(world, start=start, end=end)
         generic, _ = build_activity_tables(
             world.topology, world.collectors, world.announcements_for_day,
             start, end,
         )
-        expected = legacy_tables(
-            world.topology, world.collectors, world.announcements_for_day,
-            start, end, 2,
-        )
-        assert columnar == expected
-        assert generic == expected
+        assert columnar == oracle
+        assert generic == oracle
 
-    def test_operational_dataset_engines_agree(self, world, window):
+    def test_operational_dataset_engines_agree(self, world, window, oracle):
         start, end = window
         for min_peers in (1, 2):
             col_lives, col_tables = build_operational_dataset(
-                world, start=start, end=end, engine="columnar",
-                min_peers=min_peers,
+                world, start=start, end=end, min_peers=min_peers,
             )
-            obj_lives, obj_tables = build_operational_dataset(
-                world, start=start, end=end, engine="object",
-                min_peers=min_peers,
+            obj_lives = build_bgp_lifetimes(
+                oracle, min_peers=min_peers, end_day=end,
             )
-            assert col_tables == obj_tables
+            assert col_tables == oracle
             assert col_lives == obj_lives
             assert list(col_lives) == list(obj_lives)
 
     def test_cache_warm_start_skips_stream_stages(self, world, window,
-                                                  tmp_path):
+                                                  oracle, tmp_path):
         start, end = window
         cache = ArtifactCache(tmp_path, faults=None)  # pins exact hit counts
         cold_stats = PipelineStats()
@@ -311,27 +319,15 @@ class TestWorldPipeline:
         }
 
         warm_stats = PipelineStats()
-        warm_lives, _ = build_operational_dataset(
+        warm_lives, warm_tables = build_operational_dataset(
             world, start=start, end=end, cache=cache, stats=warm_stats,
         )
         assert cache.hits == 1
+        assert warm_tables == oracle
         assert [s.name for s in warm_stats.stages] == [
             "cache:lookup", "bgp:segment",
         ]
         assert warm_lives == cold_lives
-
-        # the object engine serves from the same entry: the key holds
-        # the *output* contract, not the engine that built it
-        cross_stats = PipelineStats()
-        cross_lives, _ = build_operational_dataset(
-            world, start=start, end=end, engine="object", cache=cache,
-            stats=cross_stats,
-        )
-        assert cache.hits == 2
-        assert [s.name for s in cross_stats.stages] == [
-            "cache:lookup", "bgp:segment",
-        ]
-        assert cross_lives == cold_lives
 
     def test_segmentation_params_outside_cache_key(self, world, window,
                                                    tmp_path):

@@ -9,6 +9,7 @@ end to end on simulated worlds with the full pitfall injector.
 """
 
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,30 @@ class TestContainerRoundTrip:
         assert view.stints == oracle.stints
         assert list(view.stints) == list(oracle.stints)
         assert asns["stable"] in view.stints
+
+    def test_failed_write_keeps_old_container_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        _, registries, _ = fresh_world()
+        old = DelegationTable.from_archive(DelegationArchive(registries, END - 90))
+        new = DelegationTable.from_archive(DelegationArchive(registries, END))
+        path = tmp_path / "delegs.dtab"
+        old.to_file(path)
+        before = path.read_bytes()
+        assert new.to_bytes() != before
+
+        real_write = Path.write_bytes
+
+        def torn_write(self, data):
+            real_write(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError):
+            new.to_file(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["delegs.dtab"]
 
     def test_rejects_foreign_bytes(self):
         with pytest.raises(ValueError):

@@ -199,3 +199,36 @@ class TestArtifactCache:
         assert cache.store_failures == 0
         assert cache.load(key) == payload
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
+
+
+class TestRawCache:
+    """Raw entries: opaque bytes stored as-is for zero-copy re-open.
+
+    The packed delegation-table container is cached this way; the
+    payload here is an arbitrary blob, since the cache never parses it.
+    """
+
+    BLOB = bytes(range(256)) * 64
+
+    def test_store_and_reopen_via_mmap(self, tmp_path):
+        import mmap
+
+        cache = _clean_cache(tmp_path)
+        key = cache.key_for(artifact="raw-blob", window=40)
+        stored = cache.store_raw(key, self.BLOB)
+        assert stored is not None
+        path = cache.load_raw_path(key)
+        assert path == stored and cache.hits == 1
+        with open(path, "rb") as fh, mmap.mmap(
+            fh.fileno(), 0, access=mmap.ACCESS_READ
+        ) as mapped:
+            assert mapped[:] == self.BLOB
+
+    def test_corrupt_raw_entry_is_quarantined(self, tmp_path):
+        cache = _clean_cache(tmp_path)
+        key = cache.key_for(artifact="raw-blob", window=40)
+        stored = cache.store_raw(key, self.BLOB)
+        stored.write_bytes(b"garbage")
+        assert cache.load_raw_path(key) is None
+        assert cache.corrupt == 1
+        assert cache.misses == 1

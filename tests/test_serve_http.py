@@ -313,12 +313,25 @@ def _serve_raw(index, interact, *, telemetry=None):
     return asyncio.run(go())
 
 
-async def _raw_exchange(host, port, payload):
-    """Write raw bytes, read everything until the server closes."""
+async def _raw_exchange(host, port, payload, *, idle=5.0):
+    """Write raw bytes, read everything until the server closes.
+
+    A server that keeps the connection open instead gets ``idle``
+    seconds of silence before the bytes read so far are returned, so a
+    missing close fails the caller's assertions instead of hanging.
+    """
     reader, writer = await asyncio.open_connection(host, port)
     writer.write(payload)
     await writer.drain()
-    raw = await reader.read()
+    raw = b""
+    while True:
+        try:
+            chunk = await asyncio.wait_for(reader.read(65536), idle)
+        except asyncio.TimeoutError:
+            break
+        if not chunk:
+            break
+        raw += chunk
     writer.close()
     try:
         await writer.wait_closed()
@@ -447,6 +460,28 @@ class TestRequestHardening:
         raw, server = _serve_raw(index, interact)
         assert b"400 Bad Request" in raw
         assert self._dropped(server) == {"header-flood": 1}
+
+    def test_request_body_is_never_parsed_as_a_request(self, index):
+        # each body is itself a valid request head: a second response
+        # would mean the unread body was re-parsed on the keep-alive
+        body = b"GET /healthz HTTP/1.1\r\n\r\n"
+        cases = [
+            (b"POST", b"Content-Length: %d\r\n" % len(body), b"405"),
+            (b"GET", b"Content-Length: %d\r\n" % len(body), b"200"),
+            (b"GET", b"Transfer-Encoding: chunked\r\n", b"200"),
+        ]
+        for method, framing, status in cases:
+            payload = method + b" /healthz HTTP/1.1\r\n" + framing + b"\r\n"
+
+            async def interact(server, host, port):
+                return await _raw_exchange(host, port, payload + body)
+
+            raw, server = _serve_raw(index, interact)
+            assert raw.count(b"HTTP/1.1 ") == 1, (method, framing)
+            assert raw.startswith(b"HTTP/1.1 " + status + b" ")
+            assert b"Connection: close" in raw
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["serve.http.requests"] == 1
 
     def test_dropped_requests_never_count_as_served(self, index):
         async def interact(server, host, port):
