@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..asn.numbers import ASN
 from ..lifetimes.records import AdminLifetime, BgpLifetime
+from ..runtime.gcpause import gc_paused
 from ..runtime.ledger import record_boundary
 from ..runtime.observability import MetricsRegistry
 
@@ -95,6 +96,8 @@ class TaxonomyResult:
         return sum(self.admin_counts.values()), sum(self.op_counts.values())
 
 
+# pausing only the build would land its deferred collections here
+@gc_paused()
 def classify(
     admin_lives: Mapping[ASN, Sequence[AdminLifetime]],
     op_lives: Mapping[ASN, Sequence[BgpLifetime]],

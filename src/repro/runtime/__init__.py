@@ -27,6 +27,8 @@ reproduction pipeline the same operational shape.
   diffing with cause attribution.
 * :mod:`repro.runtime.runs` — append-only ``runs.jsonl`` registry so
   past runs are addressable by manifest-digest prefix.
+* :mod:`repro.runtime.gcpause` — :func:`gc_paused`, the one way a
+  batch stage suspends the cyclic garbage collector.
 """
 
 from .cache import (
@@ -57,6 +59,7 @@ from .faults import (
     FaultInjector,
     FaultSpec,
 )
+from .gcpause import gc_paused
 from .inspect import (
     RunArtifacts,
     TraceView,
@@ -143,6 +146,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultSpec",
+    "gc_paused",
     "PipelineStats",
     "StageTiming",
     "LEDGER_FORMAT",

@@ -36,7 +36,6 @@ get a typed :class:`CacheStoreError` instead.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
 import itertools
 import json
@@ -46,6 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .faults import USE_ENV_FAULTS, FaultInjector, resolve_faults
+from .gcpause import gc_paused
 from .observability import MetricsRegistry, resolve_metrics
 
 __all__ = [
@@ -151,24 +151,14 @@ def dumps_with_gc_paused(obj: Any) -> bytes:
     duration is an order-of-magnitude win and safe (nothing here
     creates garbage cycles).
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def loads_with_gc_paused(blob: bytes) -> Any:
     """``pickle.loads`` with the cyclic collector paused (see above)."""
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         return pickle.loads(blob)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 class ArtifactCache:

@@ -34,6 +34,7 @@ there in :class:`~repro.runtime.profiling.PipelineStats`.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import time
@@ -257,7 +258,11 @@ class ProcessPoolBackend(PipelineExecutor):
 
     def _ensure_pool(self) -> _StdProcessPool:
         if self._pool is None:
-            self._pool = _StdProcessPool(max_workers=self.jobs)
+            # a worker forked inside a paused build would inherit the
+            # pause; it keeps its own collector instead
+            self._pool = _StdProcessPool(
+                max_workers=self.jobs, initializer=gc.enable
+            )
         return self._pool
 
     def _discard_pool(self) -> None:

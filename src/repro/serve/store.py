@@ -391,13 +391,20 @@ def _snapshot_manifest(config: Any, meta: StoreMeta) -> Dict[str, Any]:
     backend names describe *how* a store was produced, and a store
     reached by append must carry the same identity as one fully
     rebuilt — the digest covers config + serve parameters only.
+    ``git`` stays in the document as lineage but out of the digest:
+    the same shards built from a checkout and from an archive of one
+    commit are one snapshot.
     """
-    return build_run_manifest(
+    manifest = build_run_manifest(
         config=config,
         settings={"serve": meta.to_json_dict()},
         stats=None,
         git_root=Path(__file__).resolve().parent,
     )
+    identity = {k: v for k, v in manifest.items() if k not in ("git", "digest")}
+    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    manifest["digest"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return manifest
 
 
 def publish_store(

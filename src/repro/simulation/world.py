@@ -39,7 +39,7 @@ from .growth import daily_birth_rate, draw_lifetime_days, poisson
 from .organizations import Organization, OrgDirectory
 from .prefixes import PrefixPlan
 
-__all__ = ["TrueLife", "World", "WorldSimulator", "simulate"]
+__all__ = ["OpenLifeIndex", "TrueLife", "World", "WorldSimulator", "simulate"]
 
 
 @dataclass
@@ -146,6 +146,116 @@ class World:
         return out
 
 
+class OpenLifeIndex:
+    """Order-statistic index over the simulator's open lives.
+
+    Mirrors the insertion order of ``WorldSimulator.open_lives``: every
+    opened ASN takes the next position and a closed one frees its
+    position for good, so an ASN opened again goes to the end, as a
+    dict re-insert does.  One Fenwick tree per filter counts the
+    open positions passing it, so :meth:`count` is O(1) and
+    :meth:`kth` — the k-th passing ASN in dict order — is O(log n).
+    ``rng.choice([...filtered dict...])`` therefore becomes
+    ``kth(f, rng.randrange(count(f)))``, which consumes the very same
+    draw (CPython implements both as ``_randbelow(n)``) without
+    building the list.
+    """
+
+    #: Lives neither reserved over an issue nor held through an NIR.
+    TRANSFERABLE = 0
+    #: Lives not reserved over an issue.
+    UNRESERVED = 1
+
+    def __init__(self, capacity: int = 1024) -> None:
+        self._capacity = capacity
+        self._position: Dict[ASN, int] = {}
+        #: position → ASN; positions are 1-based, slot 0 is unused
+        self._asns: List[ASN] = [0]
+        self._via_nir = bytearray(capacity + 1)
+        self._reserved = bytearray(capacity + 1)
+        self._flags = (bytearray(capacity + 1), bytearray(capacity + 1))
+        self._trees = ([0] * (capacity + 1), [0] * (capacity + 1))
+        self._counts = [0, 0]
+
+    def add(self, asn: ASN, *, via_nir: bool) -> None:
+        if asn in self._position:
+            raise ValueError(f"AS{asn} is already open")
+        pos = len(self._asns)
+        if pos > self._capacity:
+            self._grow()
+        self._asns.append(asn)
+        self._position[asn] = pos
+        self._via_nir[pos] = via_nir
+        self._refresh(pos)
+
+    def remove(self, asn: ASN) -> None:
+        pos = self._position.pop(asn)
+        self._set(self.TRANSFERABLE, pos, 0)
+        self._set(self.UNRESERVED, pos, 0)
+
+    def set_reserved(self, asn: ASN, reserved: bool) -> None:
+        """Flag an open ASN reserved or not; a no-op for a closed one."""
+        pos = self._position.get(asn)
+        if pos is not None:
+            self._reserved[pos] = reserved
+            self._refresh(pos)
+
+    def count(self, which: int) -> int:
+        return self._counts[which]
+
+    def kth(self, which: int, k: int) -> ASN:
+        """The ``k``-th (0-based) open ASN passing filter ``which``."""
+        if not 0 <= k < self._counts[which]:
+            raise IndexError(f"rank {k} out of range")
+        tree, size = self._trees[which], self._capacity
+        pos = 0
+        step = 1 << (size.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return self._asns[pos + 1]
+
+    def _refresh(self, pos: int) -> None:
+        unreserved = 0 if self._reserved[pos] else 1
+        self._set(self.UNRESERVED, pos, unreserved)
+        self._set(
+            self.TRANSFERABLE, pos, 0 if self._via_nir[pos] else unreserved
+        )
+
+    def _set(self, which: int, pos: int, flag: int) -> None:
+        flags = self._flags[which]
+        delta = flag - flags[pos]
+        if not delta:
+            return
+        flags[pos] = flag
+        self._counts[which] += delta
+        tree, size = self._trees[which], self._capacity
+        while pos <= size:
+            tree[pos] += delta
+            pos += pos & -pos
+
+    def _grow(self) -> None:
+        """Double the capacity, rebuilding each tree in O(n)."""
+        size = self._capacity * 2
+        extra = bytearray(size - self._capacity)
+        self._via_nir += extra
+        self._reserved += extra
+        trees = []
+        for flags in self._flags:
+            flags += extra
+            tree = list(flags)
+            for i in range(1, size + 1):
+                parent = i + (i & -i)
+                if parent <= size:
+                    tree[parent] += tree[i]
+            trees.append(tree)
+        self._trees = tuple(trees)
+        self._capacity = size
+
+
 class WorldSimulator:
     """Runs one deterministic world from a :class:`WorldConfig`."""
 
@@ -160,6 +270,9 @@ class WorldSimulator:
         self.orgs = OrgDirectory()
         self.lives: List[TrueLife] = []
         self.open_lives: Dict[ASN, TrueLife] = {}
+        #: rank queries over ``open_lives``; updated wherever it or
+        #: ``_reserved_for_issue`` changes
+        self._open_index = OpenLifeIndex()
         self.transfers: List[TransferRecord] = []
         self.erx_reference: Dict[ASN, Day] = {}
         self._dealloc_heap: List[Tuple[Day, ASN]] = []
@@ -167,6 +280,8 @@ class WorldSimulator:
         self._reserved_for_issue: Set[ASN] = set()
         self._erx_pool: List[ASN] = []
         self._erx_schedule: List[Tuple[Day, str]] = []
+        #: day → (asn, target registry), in pool order within a day
+        self._erx_by_day: Dict[Day, List[Tuple[ASN, str]]] = {}
         self._inter_rir_days: Dict[Day, int] = {}
         #: (day, registry, org_id, cc) — pending 16-bit retries after
         #: failed 32-bit deployments (§6.3)
@@ -273,14 +388,12 @@ class WorldSimulator:
             day = rng.randint(from_iso(lo), from_iso(hi))
             self._erx_schedule.append((day, target))
         self._erx_schedule.sort()
-        self._erx_iter = 0
-        self._erx_assignments = dict(zip(self._erx_pool, self._erx_schedule))
+        assignments = dict(zip(self._erx_pool, self._erx_schedule))
+        for asn, (day, target) in assignments.items():
+            self._erx_by_day.setdefault(day, []).append((asn, target))
 
     def _process_erx(self, day: Day) -> None:
-        for asn, (transfer_day, target) in list(self._erx_assignments.items()):
-            if transfer_day != day:
-                continue
-            del self._erx_assignments[asn]
+        for asn, target in self._erx_by_day.pop(day, ()):
             life = self.open_lives.get(asn)
             if (
                 life is None
@@ -299,13 +412,9 @@ class WorldSimulator:
 
     def _process_inter_rir(self, day: Day) -> None:
         for _ in range(self._inter_rir_days.pop(day, 0)):
-            candidates = [
-                l for l in self.open_lives.values()
-                if not l.via_nir and l.asn not in self._reserved_for_issue
-            ]
-            if not candidates:
+            life = self._draw_open_life(OpenLifeIndex.TRANSFERABLE)
+            if life is None:
                 return
-            life = self.rng.choice(candidates)
             targets = [n for n in RIR_NAMES if n != life.registry]
             self._transfer(day, life, self.rng.choice(targets), erx=False)
 
@@ -377,6 +486,7 @@ class WorldSimulator:
         self.orgs.attach(org, alloc.asn)
         self.lives.append(life)
         self.open_lives[alloc.asn] = life
+        self._open_index.add(alloc.asn, via_nir=via_nir)
         if plan_end:
             length = draw_lifetime_days(
                 registry.name, self.rng,
@@ -470,6 +580,7 @@ class WorldSimulator:
             self.registries[life.registry].deallocate(day, asn)
             life.end = day - 1
             del self.open_lives[asn]
+            self._open_index.remove(asn)
 
     def _maybe_reserve_episode(self, day: Day) -> None:
         """Occasionally park an allocated ASN in reserved over an
@@ -477,31 +588,39 @@ class WorldSimulator:
         the same-life merge case of §4.1."""
         if self.rng.random() > 0.15 * self.config.scale * 10:
             return
-        candidates = [
-            asn for asn, life in self.open_lives.items()
-            if asn not in self._reserved_for_issue and not life.via_nir
-        ]
-        if not candidates:
+        life = self._draw_open_life(OpenLifeIndex.TRANSFERABLE)
+        if life is None:
             return
-        asn = self.rng.choice(candidates)
-        life = self.open_lives[asn]
+        asn = life.asn
         registry = self.registries[life.registry]
         registry.reserve_for_issue(day, asn)
         self._reserved_for_issue.add(asn)
+        self._open_index.set_reserved(asn, True)
         heapq.heappush(
             self._return_heap, (day + self.rng.randint(10, 80), asn)
         )
+
+    def _draw_open_life(self, which: int) -> Optional[TrueLife]:
+        """Uniform draw among the open lives passing an index filter.
+
+        Consumes exactly the draw ``rng.choice`` over the filtered
+        ``open_lives`` list would, and none when no life qualifies.
+        """
+        count = self._open_index.count(which)
+        if not count:
+            return None
+        return self.open_lives[
+            self._open_index.kth(which, self.rng.randrange(count))
+        ]
 
     def _process_returns(self, day: Day) -> None:
         while self._return_heap and self._return_heap[0][0] <= day:
             _, asn = heapq.heappop(self._return_heap)
             life = self.open_lives.get(asn)
-            if life is None:
-                self._reserved_for_issue.discard(asn)
-                continue
-            registry = self.registries[life.registry]
-            registry.return_to_owner(day, asn)
+            if life is not None:
+                self.registries[life.registry].return_to_owner(day, asn)
             self._reserved_for_issue.discard(asn)
+            self._open_index.set_reserved(asn, False)
 
     def _maybe_nir_block(self, day: Day) -> None:
         config = self.config
@@ -521,13 +640,10 @@ class WorldSimulator:
     def _maybe_regdate_correction(self, day: Day) -> None:
         if self.rng.random() > self.config.regdate_correction_rate:
             return
-        candidates = [
-            asn for asn in self.open_lives if asn not in self._reserved_for_issue
-        ]
-        if not candidates:
+        life = self._draw_open_life(OpenLifeIndex.UNRESERVED)
+        if life is None:
             return
-        asn = self.rng.choice(candidates)
-        life = self.open_lives[asn]
+        asn = life.asn
         registry = self.registries[life.registry]
         # corrections only move forward (a backward move is a defect
         # the restoration pipeline repairs, injected separately) and

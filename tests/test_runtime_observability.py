@@ -371,6 +371,19 @@ class TestRunManifest:
         assert with_clock["generated_at"] == 1234.5
         assert with_clock["digest"] == without["digest"]
 
+    def test_git_describe_is_part_of_the_run_digest(self, monkeypatch):
+        from repro.runtime import observability
+
+        digests = []
+        for label in ("1ac763b-dirty", None):
+            monkeypatch.setattr(
+                observability, "git_describe", lambda root=None, label=label: label
+            )
+            manifest = build_run_manifest(config=tiny(seed=1))
+            assert manifest["git"] == (label or "unknown")
+            digests.append(manifest["digest"])
+        assert digests[0] != digests[1]
+
     def test_fault_injection_settings_captured(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.1")

@@ -206,6 +206,31 @@ class TestBuildAndAppend:
         assert entry["digest"] == doc["digest"]
         assert entry["artifacts"]["store"].endswith(INDEX_NAME)
 
+    def test_snapshot_digest_ignores_git_lineage(self, bundle, tmp_path, monkeypatch):
+        # a checkout and an archive of one commit describe themselves
+        # differently; identical shards must still be one snapshot
+        from repro.runtime import observability
+
+        start, end = _window(bundle.world.config)
+        stores = []
+        for label in ("1ac763b-dirty", None):
+            monkeypatch.setattr(
+                observability, "git_describe", lambda root=None, label=label: label
+            )
+            out = tmp_path / str(label)
+            build_store(out, bundle.world, bundle.admin_lives,
+                        start=start, end=end, faults=None)
+            stores.append(out)
+        a, b = (
+            json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+            for out in stores
+        )
+        assert (a["git"], b["git"]) == ("1ac763b-dirty", "unknown")
+        assert a["digest"] == b["digest"]
+        assert (stores[0] / INDEX_NAME).read_bytes() == (
+            stores[1] / INDEX_NAME
+        ).read_bytes()
+
     def test_config_fingerprint_roundtrip(self, bundle, tmp_path):
         config = bundle.world.config
         start, end = _window(config)
